@@ -72,9 +72,11 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/... | tee /dev/stderr | $(GO) run ./tools/benchjson > BENCH_$(DATE).json
 	@echo "wrote BENCH_$(DATE).json"
 
-# bench-smoke runs the sharded-vs-sequential Table 1 benchmark for a
-# single iteration and gates it against the newest committed
-# BENCH_<date>.json via benchjson -compare — enough for CI to catch a
+# bench-smoke runs the Table 1 kernel benchmark across shard counts and
+# the epoch-apply benchmark for a single iteration and gates them against
+# the newest committed BENCH_<date>.json via benchjson -compare (cells on
+# only one side, such as retired ones, are listed, never failed) — enough
+# for CI to catch a
 # kernel that stopped compiling or regressed catastrophically, without
 # the cost of a full benchmark run. The threshold is deliberately loose
 # (100%): the baseline was recorded on different hardware and a 1x run

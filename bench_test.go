@@ -54,35 +54,28 @@ func BenchmarkTable1(b *testing.B) {
 
 // BenchmarkTable1Sharded measures the distributed pipeline behind
 // Table I at a scale where kernel cost dominates (n=2000 at constant
-// average degree ≈ 20): the sequential round loop against the sharded
-// executor across shard counts and worker-pool widths. Every variant
-// runs the identical instance (core.Build never mutates its input
-// graph) and each sub-benchmark first checks its output against the
-// sequential Result, so the numbers are strictly comparable.
+// average degree ≈ 20): the simulation kernel across shard counts and
+// worker-pool widths. Every variant runs the identical instance
+// (core.Build never mutates its input graph) and each sub-benchmark
+// first checks its output — rounds, message ledger, LDel(ICDS) edge
+// list — against the reference the retired sequential kernel recorded
+// in internal/sim/testdata/sequential, so the numbers are strictly
+// comparable.
 //
-// Reading the results: the large sequential-vs-shards1 gap is NOT a
-// parallelism win — both run on one goroutine. The sharded executor
-// routes each broadcast into per-node mailboxes by binary search and
-// recycles mailbox slices through a free-list pool, where the
-// sequential kernel re-scans every receiver's neighbor list per inbox
-// message; shards1 isolates exactly that data-structure difference.
-// The parallel speedup proper is shardsP/parK vs shards1 on a
-// multi-core runner (par1 rows pin the pool to one worker as the
-// like-for-like baseline). CI's bench-smoke job runs this benchmark
-// for a single iteration and feeds benchjson -compare.
+// shards1 is the default build: one shard, one goroutine. The parallel
+// speedup proper is shardsP/parK vs shards1 on a multi-core runner
+// (par1 rows pin the pool to one worker as the like-for-like baseline).
+// CI's bench-smoke job runs this benchmark for a single iteration and
+// feeds benchjson -compare.
 func BenchmarkTable1Sharded(b *testing.B) {
 	const n = 2000
 	radius := 200 * math.Sqrt(20/(math.Pi*float64(n)))
 	inst := benchInstance(b, 23, n, radius)
-	want, err := core.Build(inst.UDG, inst.Radius)
-	if err != nil {
-		b.Fatal(err)
-	}
+	want := sequentialGolden(b, "table1_seed23_n2000")
 	variants := []struct {
 		name string
 		opts []core.BuildOption
 	}{
-		{"sequential", nil},
 		{"shards1", []core.BuildOption{core.WithShards(1)}},
 	}
 	for _, p := range []int{2, 4, 8} {
@@ -104,8 +97,8 @@ func BenchmarkTable1Sharded(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if got.Rounds != want.Rounds || !got.LDelICDS.Equal(want.LDelICDS) {
-				b.Fatalf("%s: output diverges from the sequential kernel", v.name)
+			if g := resultGolden(got); g != want {
+				b.Fatalf("%s: output diverges from the sequential reference\ngot:\n%swant:\n%s", v.name, g, want)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -407,25 +400,6 @@ func BenchmarkAsyncClustering(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkUDGBuildQuadtree(b *testing.B) {
-	inst := benchInstance(b, 5, 500, 60)
-	b.Run("uniform", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			udg.BuildQuadtree(inst.Points, 60)
-		}
-	})
-	r := benchRand(77)
-	clustered, err := udg.GeneratePoints(r, udg.Clustered, 500, 200)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("clustered", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			udg.BuildQuadtree(clustered, 30)
-		}
-	})
 }
 
 func BenchmarkRouteDiscovery(b *testing.B) {

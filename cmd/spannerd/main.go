@@ -130,7 +130,13 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	fmt.Fprintf(out, "spannerd: serving n=%d radius=%.1f on http://%s\n", s.Current().N(), r, ln.Addr())
@@ -174,6 +180,17 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintln(out, "spannerd: clean shutdown")
 	return nil
 }
+
+// Connection timeouts of the HTTP server. The write timeout runs from the
+// end of the request headers until the response is written, so it spans a
+// whole POST /v1/epoch apply and must exceed the slowest epoch: about 10 s
+// for a 10-event batch at n=10000 in results/churn.txt.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
 
 func shutdown(hs *http.Server, serveErr chan error) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

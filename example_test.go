@@ -177,15 +177,15 @@ func ExampleBuildMany() {
 	// instance 2 planar: true
 }
 
-// ExampleWithShards runs one build on the sharded simulation kernel
-// with a bounded worker pool; the output is bit-identical to the
-// sequential kernel for any shard count or parallelism.
+// ExampleWithShards runs one build on four shards of the simulation
+// kernel with a bounded worker pool; the output is bit-identical to the
+// default one-shard build for any shard count or parallelism.
 func ExampleWithShards() {
 	inst, err := geospanner.GenerateInstance(5, 80, 200, 60)
 	if err != nil {
 		log.Fatal(err)
 	}
-	seq, err := geospanner.Build(inst.UDG, inst.Radius)
+	one, err := geospanner.Build(inst.UDG, inst.Radius)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -194,8 +194,8 @@ func ExampleWithShards() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("backbones identical:", sharded.LDelICDS.Equal(seq.LDelICDS))
-	fmt.Println("same total messages:", sharded.MsgsLDel.Total() == seq.MsgsLDel.Total())
+	fmt.Println("backbones identical:", sharded.LDelICDS.Equal(one.LDelICDS))
+	fmt.Println("same total messages:", sharded.MsgsLDel.Total() == one.MsgsLDel.Total())
 	// Output:
 	// backbones identical: true
 	// same total messages: true

@@ -2,8 +2,13 @@ package geospanner
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -39,32 +44,47 @@ func TestPublicPipeline(t *testing.T) {
 	}
 }
 
-// TestPublicShardedBuild pins the facade's WithShards contract: a sharded
-// build is bit-identical to the default sequential build — graphs,
-// ledgers, rounds — for several shard counts, including composed with
-// WithWorkers through BuildMany.
+// resultGolden renders a build in the frozen-reference format of
+// internal/sim/testdata/sequential: the round counts, the LDel(ICDS) and
+// LDel(ICDS') edge-list digests and the message ledger.
+func resultGolden(res *Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "rounds %+v\n", res.Rounds)
+	fmt.Fprintf(&b, "ldel_icds %d sha256:%x\n", res.LDelICDS.NumEdges(), sha256.Sum256([]byte(fmt.Sprint(res.LDelICDS.Edges()))))
+	fmt.Fprintf(&b, "ldel_icds_prime %d sha256:%x\n", res.LDelICDSPrime.NumEdges(), sha256.Sum256([]byte(fmt.Sprint(res.LDelICDSPrime.Edges()))))
+	fmt.Fprintf(&b, "msgs %d per_node sha256:%x\nby_type %v\n", res.MsgsLDel.Total(), sha256.Sum256([]byte(fmt.Sprint(res.MsgsLDel.PerNode))), res.MsgsLDel.ByType)
+	return b.String()
+}
+
+// sequentialGolden reads a frozen reference output of the retired
+// sequential delivery loop; the files were recorded once from that kernel
+// and are never regenerated.
+func sequentialGolden(tb testing.TB, name string) string {
+	tb.Helper()
+	b, err := os.ReadFile(filepath.Join("internal", "sim", "testdata", "sequential", name+".golden"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestPublicShardedBuild pins the facade's WithShards contract: the
+// default build and every sharded build reproduce the graphs, ledgers and
+// rounds the retired sequential kernel recorded for the same instance,
+// including composed with WithWorkers through BuildMany.
 func TestPublicShardedBuild(t *testing.T) {
 	inst, err := GenerateInstance(1, 80, 200, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Build(inst.UDG, inst.Radius)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{1, 2, 4, 8} {
+	want := sequentialGolden(t, "facade_seed1_n80")
+	for _, p := range []int{0, 1, 2, 4, 8} {
 		got, err := Build(inst.UDG.Clone(), inst.Radius, WithShards(p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.LDelICDS.Equal(want.LDelICDS) || !got.LDelICDSPrime.Equal(want.LDelICDSPrime) {
-			t.Fatalf("shards=%d: output graphs diverge from sequential build", p)
-		}
-		if got.Rounds != want.Rounds {
-			t.Fatalf("shards=%d: rounds %+v, want %+v", p, got.Rounds, want.Rounds)
-		}
-		if !reflect.DeepEqual(got.MsgsLDel.PerNode, want.MsgsLDel.PerNode) {
-			t.Fatalf("shards=%d: message ledgers diverge", p)
+		if g := resultGolden(got); g != want {
+			t.Fatalf("shards=%d: build diverges from the sequential reference\ngot:\n%swant:\n%s", p, g, want)
 		}
 	}
 

@@ -2,13 +2,15 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
+	"geospanner/internal/graph"
 	"geospanner/internal/obs"
 	"geospanner/internal/sim"
 	"geospanner/internal/udg"
@@ -63,58 +65,83 @@ func tracedBuild(t *testing.T, seed int64, n int, opts ...BuildOption) (*Result,
 	return res, errText, stripShardLines(t, buf.Bytes())
 }
 
-// sameResult asserts two builds computed identical structures and ledgers.
-func sameResult(t *testing.T, label string, want, got *Result) {
+// buildGolden renders one traced build in the frozen-reference format of
+// ../sim/testdata/sequential: the error text, the round counts, digests of
+// both output graphs' edge lists, the message ledger, the Reliable shim's
+// counters, and the line count and digest of the protocol-level trace.
+func buildGolden(res *Result, errText string, trace []byte) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "err %q\n", errText)
+	if res != nil {
+		fmt.Fprintf(&b, "rounds %+v\n", res.Rounds)
+		for _, g := range []struct {
+			name string
+			g    *graph.Graph
+		}{{"ldel_icds", res.LDelICDS}, {"ldel_icds_prime", res.LDelICDSPrime}} {
+			fmt.Fprintf(&b, "%s %d sha256:%x\n", g.name, g.g.NumEdges(), sha256.Sum256([]byte(fmt.Sprint(g.g.Edges()))))
+		}
+		fmt.Fprintf(&b, "per_node %v\nby_type %v\nreliable %+v\n", res.MsgsLDel.PerNode, res.MsgsLDel.ByType, res.Reliable)
+	}
+	fmt.Fprintf(&b, "trace %d sha256:%x\n", bytes.Count(trace, []byte("\n")), sha256.Sum256(trace))
+	return b.String()
+}
+
+// sequentialGolden reads a frozen reference output of the retired
+// sequential delivery loop. The files live with the simulator, were
+// recorded once from that kernel, and are never regenerated.
+func sequentialGolden(t *testing.T, name string) string {
 	t.Helper()
-	if !got.LDelICDS.Equal(want.LDelICDS) || !got.LDelICDSPrime.Equal(want.LDelICDSPrime) {
-		t.Fatalf("%s: output graphs diverge", label)
+	b, err := os.ReadFile(filepath.Join("..", "sim", "testdata", "sequential", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Rounds != want.Rounds {
-		t.Fatalf("%s: rounds %+v, want %+v", label, got.Rounds, want.Rounds)
+	return string(b)
+}
+
+// matrixFaults are the fault models of TestShardMatrixDeterminism,
+// constructed fresh per build: Gilbert is stateful and must not be shared
+// across runs.
+var matrixFaults = []struct {
+	name string
+	opt  func() BuildOption
+}{
+	{"bernoulli", func() BuildOption { return WithFaults(sim.Bernoulli(99, 0.15)) }},
+	{"gilbert", func() BuildOption { return WithFaults(sim.Gilbert(41, 0.2, 0.5, 0.8)) }},
+}
+
+// matrixOptions returns the base options of one matrix case.
+func matrixOptions(fault func() BuildOption, reliable bool) []BuildOption {
+	opts := []BuildOption{fault(), WithMaxRounds(3000)}
+	if reliable {
+		opts = append(opts, WithReliability(sim.ReliableConfig{}))
 	}
-	if !reflect.DeepEqual(got.MsgsLDel.PerNode, want.MsgsLDel.PerNode) {
-		t.Fatalf("%s: per-node message ledger diverges", label)
-	}
-	if !reflect.DeepEqual(got.MsgsLDel.ByType, want.MsgsLDel.ByType) {
-		t.Fatalf("%s: per-type ledger = %v, want %v", label, got.MsgsLDel.ByType, want.MsgsLDel.ByType)
-	}
-	if got.Reliable != want.Reliable {
-		t.Fatalf("%s: reliable counters %+v, want %+v", label, got.Reliable, want.Reliable)
-	}
+	return opts
 }
 
 // TestShardMatrixDeterminism is the determinism-under-composition matrix:
-// every combination of {shards 1, 2, 4, 8} × {parallelism 1, NumCPU} ×
-// {Reliable on/off} × {Bernoulli, Gilbert} must produce a Result and a
-// JSONL protocol trace bit-identical to the sequential kernel's on the
-// same fixed seed. Parallelism values are forced explicitly because on a
-// single-core runner the GOMAXPROCS default would collapse every cell to
-// a serial pool.
+// the default configuration and every combination of {shards 1, 2, 4, 8}
+// × {parallelism 1, 2, NumCPU} × {Reliable on/off} × {Bernoulli, Gilbert}
+// must reproduce the Result, error and JSONL protocol trace the retired
+// sequential kernel recorded for the same fixed seed. Parallelism values
+// are forced explicitly because on a single-core runner the GOMAXPROCS
+// default would collapse every cell to a serial pool.
 func TestShardMatrixDeterminism(t *testing.T) {
-	faults := []struct {
-		name string
-		opt  func() BuildOption
-	}{
-		{"bernoulli", func() BuildOption { return WithFaults(sim.Bernoulli(99, 0.15)) }},
-		{"gilbert", func() BuildOption { return WithFaults(sim.Gilbert(41, 0.2, 0.5, 0.8)) }},
-	}
-	for _, fault := range faults {
+	for _, fault := range matrixFaults {
 		for _, reliable := range []bool{false, true} {
 			name := fault.name
 			if reliable {
 				name += "+reliable"
 			}
 			t.Run(name, func(t *testing.T) {
-				base := func() []BuildOption {
-					// Fault models are constructed fresh per build: Gilbert
-					// is stateful and must not be shared across runs.
-					opts := []BuildOption{fault.opt(), WithMaxRounds(3000)}
-					if reliable {
-						opts = append(opts, WithReliability(sim.ReliableConfig{}))
+				want := sequentialGolden(t, "build_"+name+"_seed21_n40")
+				check := func(label string, extra ...BuildOption) {
+					t.Helper()
+					got := buildGolden(tracedBuild(t, 21, 40, append(matrixOptions(fault.opt, reliable), extra...)...))
+					if got != want {
+						t.Fatalf("%s: build diverges from the sequential reference\ngot:\n%swant:\n%s", label, got, want)
 					}
-					return opts
 				}
-				wantRes, wantErr, wantTrace := tracedBuild(t, 21, 40, base()...)
+				check("default")
 				// par=2 forces the worker pool even on a single-core
 				// runner; NumCPU adds the real-hardware width elsewhere.
 				pars := []int{1, 2}
@@ -123,24 +150,7 @@ func TestShardMatrixDeterminism(t *testing.T) {
 				}
 				for _, p := range []int{1, 2, 4, 8} {
 					for _, k := range pars {
-						label := fmt.Sprintf("shards=%d/par=%d", p, k)
-						gotRes, gotErr, gotTrace := tracedBuild(t, 21, 40,
-							append(base(), WithShards(p), WithParallelism(k))...)
-						if gotErr != wantErr {
-							t.Fatalf("%s: err = %q, want %q", label, gotErr, wantErr)
-						}
-						if wantRes != nil {
-							sameResult(t, label, wantRes, gotRes)
-						}
-						if !bytes.Equal(wantTrace, gotTrace) {
-							gl, wl := bytes.Split(gotTrace, []byte("\n")), bytes.Split(wantTrace, []byte("\n"))
-							for i := 0; i < len(gl) && i < len(wl); i++ {
-								if !bytes.Equal(gl[i], wl[i]) {
-									t.Fatalf("%s: trace diverges at line %d.\ngot:  %s\nwant: %s", label, i+1, gl[i], wl[i])
-								}
-							}
-							t.Fatalf("%s: trace length %d lines, want %d", label, len(gl), len(wl))
-						}
+						check(fmt.Sprintf("shards=%d/par=%d", p, k), WithShards(p), WithParallelism(k))
 					}
 				}
 			})
@@ -177,39 +187,37 @@ func TestShardGoldenTraceUnchanged(t *testing.T) {
 	}
 }
 
-// TestShardPartialBuild: the sharded kernel composes with the
-// partition-aware build — per-component pipelines run sharded (remapped
-// faults included) and produce the sequential build's exact partial
-// result.
+// TestShardPartialBuild: the kernel composes with the partition-aware
+// build — per-component pipelines run sharded (remapped faults included)
+// and every shard count reproduces the partial result the retired
+// sequential kernel recorded.
 func TestShardPartialBuild(t *testing.T) {
+	want := sequentialGolden(t, "partial_seed13_n60")
+	for _, p := range []int{0, 2, 8} {
+		if got := partialGolden(t, WithShards(p)); got != want {
+			t.Fatalf("shards=%d: partial build diverges from the sequential reference\ngot:\n%swant:\n%s", p, got, want)
+		}
+	}
+}
+
+// partialGolden runs a partial build with one crashed node — forcing the
+// partition machinery into play — and renders it in the reference format
+// plus the health report's dead set.
+func partialGolden(t *testing.T, opts ...BuildOption) string {
+	t.Helper()
 	inst, err := udg.ConnectedInstance(13, 60, 200, 60, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Crash a node to force the partition machinery into play.
 	crash := sim.CrashAt(map[int]int{5: 1})
 	base := []BuildOption{WithPartialResults(), WithMaxRounds(2000), WithFaults(crash),
 		WithReliability(sim.ReliableConfig{MaxRetries: 3})}
-	want, err := Build(inst.UDG.Clone(), inst.Radius, base...)
+	res, err := Build(inst.UDG, inst.Radius, append(base, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{2, 8} {
-		got, err := Build(inst.UDG.Clone(), inst.Radius, append(append([]BuildOption(nil), base...), WithShards(p))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.LDelICDS.Equal(want.LDelICDS) {
-			t.Fatalf("shards=%d: partial-build graphs diverge", p)
-		}
-		if !reflect.DeepEqual(got.MsgsLDel.PerNode, want.MsgsLDel.PerNode) {
-			t.Fatalf("shards=%d: partial-build ledgers diverge", p)
-		}
-		if (got.Health == nil) != (want.Health == nil) {
-			t.Fatalf("shards=%d: health report presence diverges", p)
-		}
-		if got.Health != nil && !reflect.DeepEqual(got.Health.DeadNodes, want.Health.DeadNodes) {
-			t.Fatalf("shards=%d: dead sets diverge", p)
-		}
+	if res.Health == nil {
+		t.Fatal("partial build returned no health report")
 	}
+	return buildGolden(res, "", nil) + fmt.Sprintf("dead %v\n", res.Health.DeadNodes)
 }

@@ -84,7 +84,9 @@ type BatchStats struct {
 	// Applied counts events that changed the state.
 	Applied int
 	// Rejected counts strict no-ops: a leave/crash addressed to an
-	// already-dead node, a join addressed to an alive one, or an
+	// already-dead node, a join addressed to an alive one, a move of an
+	// alive node onto another alive node's exact position, a join whose
+	// slot position is an alive node's exact position, or an
 	// out-of-range node ID. Rejected events touch neither the roles nor
 	// the cached structures.
 	Rejected int
@@ -112,7 +114,11 @@ const DefaultFallbackFraction = 0.25
 
 // ApplyBatch applies one epoch's events in order and returns the batch
 // summary. Events addressed to nodes in the wrong state are counted as
-// Rejected and are complete no-ops. fallbackFrac is the role-churn
+// Rejected and are complete no-ops. So are events that would make two
+// alive nodes co-located: the local Delaunay step has no answer for
+// coincident points (delaunay.ErrDuplicatePoints), and rejecting them
+// here — a deterministic function of the state — means a logged batch
+// always replays to the same result. fallbackFrac is the role-churn
 // fraction that triggers the from-scratch re-clustering (<= 0 disables the
 // fallback; DefaultFallbackFraction is the service default).
 func (s *State) ApplyBatch(events []Event, fallbackFrac float64) BatchStats {
@@ -124,7 +130,7 @@ func (s *State) ApplyBatch(events []Event, fallbackFrac float64) BatchStats {
 		}
 		switch e.Kind {
 		case EventJoin:
-			if s.alive[e.Node] {
+			if s.alive[e.Node] || s.occupied(e.Node, s.pts[e.Node]) {
 				// Guard before calling Recover: the error path is a no-op
 				// too, but the batch loop must never construct errors for
 				// expected stream noise.
@@ -162,6 +168,11 @@ func (s *State) ApplyBatch(events []Event, fallbackFrac float64) BatchStats {
 			st.ByKind[e.Kind].Applied++
 			st.RoleChanges += len(changed)
 		case EventMove:
+			if s.alive[e.Node] && s.occupied(e.Node, e.To) {
+				st.Rejected++
+				st.ByKind[e.Kind].Rejected++
+				continue
+			}
 			changed, err := s.Move(e.Node, e.To)
 			if err != nil {
 				st.Rejected++
@@ -208,6 +219,17 @@ func (s *State) Move(v int, to geom.Point) ([]int, error) {
 		return changed, err
 	}
 	return mergeSorted(changed, more), nil
+}
+
+// occupied reports whether an alive node other than v sits exactly at p
+// — the coordinate equality delaunay.ErrDuplicatePoints rejects.
+func (s *State) occupied(v int, p geom.Point) bool {
+	for u, q := range s.pts {
+		if u != v && s.alive[u] && q == p {
+			return true
+		}
+	}
+	return false
 }
 
 // relocate updates v's position and its unit-disk edges in the full graph,

@@ -304,3 +304,43 @@ func TestEventKindString(t *testing.T) {
 		t.Fatalf("unknown kind renders %q", got)
 	}
 }
+
+// TestCoLocatedEventsRejected: an event that would put two alive nodes at
+// the same coordinates — an alive node moving onto another, or a dead
+// slot parked on an alive node's position and then joined — is a strict
+// no-op, and the patched structures still equal a from-scratch rebuild.
+// Accepting either would leave the local Delaunay step with duplicate
+// input points on every later epoch.
+func TestCoLocatedEventsRejected(t *testing.T) {
+	s := newState(t, 5, 60)
+	s.PatchScopeFraction = 1
+	if _, _, err := s.Structures(); err != nil {
+		t.Fatal(err)
+	}
+	const a, b, d = 3, 8, 12
+	pts := s.Positions()
+	events := []Event{
+		{Kind: EventCrash, Node: d},
+		{Kind: EventMove, Node: d, To: pts[b]}, // dead slot: geometry only
+		{Kind: EventJoin, Node: d},             // would co-locate d with b
+		{Kind: EventMove, Node: a, To: pts[b]}, // would co-locate a with b
+	}
+	st := s.ApplyBatch(events, DefaultFallbackFraction)
+	if st.Applied != 2 || st.Rejected != 2 {
+		t.Fatalf("applied=%d rejected=%d, want 2/2", st.Applied, st.Rejected)
+	}
+	if st.ByKind[EventJoin].Rejected != 1 || st.ByKind[EventMove].Rejected != 1 || st.ByKind[EventMove].Applied != 1 {
+		t.Fatalf("ByKind = %+v", st.ByKind)
+	}
+	if s.Alive(d) {
+		t.Fatal("co-located join brought the slot up")
+	}
+	if got := s.Positions()[a]; got != pts[a] {
+		t.Fatalf("rejected move relocated node %d to %v", a, got)
+	}
+	conn, pldel, err := s.Structures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesRebuild(t, s, conn, pldel)
+}

@@ -175,3 +175,33 @@ func TestStatsReportSegmentsAndRetention(t *testing.T) {
 		t.Fatalf("segment stats not surfaced: %+v", st)
 	}
 }
+
+// TestEpochBodyCap: a POST /v1/epoch body beyond the cap is answered 413
+// in the uniform error envelope, and neither publishes an epoch nor
+// appends a WAL record.
+func TestEpochBodyCap(t *testing.T) {
+	s, _ := newServer(t, 65, 40, WithWALConfig("/log", wal.Config{FS: wal.NewMemFS()}))
+	before := s.Stats()
+	var body strings.Builder
+	body.WriteString(`{"events":[`)
+	for body.Len() <= maxEpochBody {
+		body.WriteString(`{"kind":"join","node":1},`)
+	}
+	body.WriteString(`{"kind":"join","node":1}]}`)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/epoch", strings.NewReader(body.String())))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /v1/epoch: %d, want 413", rec.Code)
+	}
+	var er ErrorResponse
+	if err := json.NewDecoder(rec.Body).Decode(&er); err != nil || er.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("error envelope: err=%v %+v", err, er)
+	}
+	after := s.Stats()
+	if s.Current().Seq != 0 || after.Epochs != before.Epochs {
+		t.Fatalf("oversized body published epoch %d", s.Current().Seq)
+	}
+	if after.WALLastSeq != before.WALLastSeq || after.WALRecords != before.WALRecords {
+		t.Fatalf("oversized body reached the WAL: records %d -> %d", before.WALRecords, after.WALRecords)
+	}
+}

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 
@@ -167,9 +168,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
+// maxEpochBody caps the body of POST /v1/epoch. An encoded event is
+// about 60 bytes, so the cap admits batches of tens of thousands of
+// events while bounding what one request can make the server buffer.
+const maxEpochBody = 4 << 20
+
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	var req EpochRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxEpochBody)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, errors.New("bad request body: "+err.Error()))
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"geospanner/internal/maintain"
+	"geospanner/internal/udg"
 	"geospanner/internal/wal"
 )
 
@@ -191,4 +192,46 @@ func TestStatsReportWAL(t *testing.T) {
 		t.Fatalf("non-durable server reports wal stats: %+v", st)
 	}
 	_ = inst
+}
+
+// TestCoLocatedMoveDoesNotBrickServer is the poison-batch regression: a
+// validated move of a node exactly onto an alive node's coordinates used
+// to fail the local Delaunay step (duplicate input points) on that epoch,
+// every later epoch, and at WAL replay. It is now a rejected no-op, so
+// later epochs apply and Recover reproduces the live fingerprint.
+func TestCoLocatedMoveDoesNotBrickServer(t *testing.T) {
+	inst, err := udg.ConnectedInstance(5, 200, 100, 20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, err := New(inst.Points, inst.Radius, WithWAL(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := s.Apply([]maintain.Event{maintain.NewMove(45, inst.Points[8])})
+	if err != nil {
+		t.Fatalf("poison batch: %v", err)
+	}
+	if ep.Stats.Batch.Rejected != 1 || ep.Stats.Batch.ByKind[maintain.EventMove].Rejected != 1 {
+		t.Fatalf("co-located move not rejected: %+v", ep.Stats.Batch)
+	}
+	sched := NewScheduler(6, inst.Points, 100, inst.Radius)
+	for i := 0; i < 4; i++ {
+		if _, err := s.Apply(sched.Batch(5)); err != nil {
+			t.Fatalf("epoch after poison batch: %v", err)
+		}
+	}
+	want := s.Current().Fingerprint()
+	rec, info, err := Recover(dir, WithWAL(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if info.Seq != 5 {
+		t.Fatalf("recovered to epoch %d, want 5", info.Seq)
+	}
+	if got := rec.Current().Fingerprint(); got != want {
+		t.Fatalf("recovered fingerprint %x, want %x", got, want)
+	}
 }

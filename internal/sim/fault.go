@@ -3,8 +3,7 @@ package sim
 // This file is the composable fault-model library for the simulator: every
 // way a radio channel can mistreat a message — independent (Bernoulli)
 // loss, bursty (Gilbert–Elliott) loss, node crashes, and duplication — as
-// small deterministic values that replace the ad-hoc DropFunc closures the
-// failure-injection tests used to build by hand.
+// small deterministic values.
 //
 // Determinism: every model is a pure function of its seed and the delivery
 // coordinates (round, from, to, seq), or — for the stateful Gilbert model —
@@ -26,19 +25,19 @@ type FaultModel interface {
 	Copies(round, from, to, seq int, m Message) int
 }
 
-// FaultSharder is an optional FaultModel extension for the sharded kernel
+// FaultSharder is an optional FaultModel extension for multi-shard runs
 // (WithShards): ShardFaults returns p independent instances, one per
-// shard, that collectively reproduce the sequential model's exact loss
+// shard, that collectively reproduce the single model's exact loss
 // pattern when shard s consults instance s only for deliveries to its own
-// receivers, in the sequential per-receiver order. Stateless models
-// (Bernoulli, CrashAt, Duplicate) return the shared instance p times; the
-// stateful Gilbert model returns fresh same-seed instances, which is
-// sound because its per-link Markov chains are keyed by (from, to) and a
-// directed link's receiver lives on exactly one shard, so each chain is
-// consulted by one shard in the same order as sequentially. ShardFaults
-// may return nil to declare the model unshardable (DropFunc closures,
-// whose internal state the kernel cannot see); the run then falls back to
-// the sequential kernel.
+// receivers, in per-receiver delivery order. Stateless models (Bernoulli,
+// CrashAt, Duplicate) return the shared instance p times; the stateful
+// Gilbert model returns fresh same-seed instances, which is sound because
+// its per-link Markov chains are keyed by (from, to) and a directed
+// link's receiver lives on exactly one shard, so each chain is consulted
+// by one shard in the same order as on one. ShardFaults may return nil
+// to declare the model unshardable. A model without it (or returning nil)
+// runs on one shard, which consults the model itself in receiver-ID
+// order.
 type FaultSharder interface {
 	ShardFaults(p int) []FaultModel
 }
@@ -47,7 +46,7 @@ type FaultSharder interface {
 // occupancy-driven re-partitioning: when shard boundaries move, any
 // per-receiver state held inside the cached per-shard instances must move
 // with the receivers, or the next consultation would see a fresh chain
-// where the sequential kernel sees an advanced one. Rehome moves that
+// where an unmoved partition sees an advanced one. Rehome moves that
 // state so that the chain of every directed link (from, to) lives in
 // instance owner(to), and reports whether it could. Stateless models
 // return true without doing anything; models that cannot migrate return
@@ -176,8 +175,7 @@ type gilbert struct {
 	dropBad   float64
 	state     map[[2]int]*gilbertLink
 	// shards caches the per-shard instances handed out by ShardFaults, so
-	// that per-link chain state persists across the stages of one build
-	// exactly as the parent instance's state does sequentially.
+	// that per-link chain state persists across the stages of one build.
 	shards []FaultModel
 }
 
@@ -216,14 +214,13 @@ func (g *gilbert) Copies(round, from, to, seq int, m Message) int {
 // ShardFaults implements FaultSharder with same-seed per-shard instances.
 // Each directed link's Markov chain is lazily seeded from (seed, from,
 // to) alone, and the link is consulted only by the shard owning the
-// receiver `to`, in the same per-receiver delivery order the sequential
-// kernel uses — so every chain replays the identical stream and the
-// aggregate loss pattern is bit-identical for any p. The instances are
-// cached on the parent: a multi-stage run (core.Build threads one fault
-// model through cluster, connector, and LDel) keeps advancing the same
-// chains across stages, exactly as the sequential kernel's single
-// instance does. One Gilbert value must therefore run under a consistent
-// shard count — changing p mid-build would reset the chains.
+// receiver `to`, in per-receiver delivery order — so every chain replays
+// the identical stream and the aggregate loss pattern is bit-identical
+// for any p. The instances are cached on the parent: a multi-stage run
+// (core.Build threads one fault model through cluster, connector, and
+// LDel) keeps advancing the same chains across stages. One Gilbert value
+// must therefore run under a consistent shard count — changing p
+// mid-build would reset the chains.
 func (g *gilbert) ShardFaults(p int) []FaultModel {
 	if len(g.shards) != p {
 		g.shards = make([]FaultModel, p)
@@ -238,8 +235,8 @@ func (g *gilbert) ShardFaults(p int) []FaultModel {
 // cached per-shard instances moves to the instance owning the link's
 // receiver under the new partition. Chains are keyed by (from, to) and
 // moved wholesale, so the result is independent of map iteration order —
-// re-homing is deterministic. The parent's own chain map (used by the
-// sequential kernel) is not touched.
+// re-homing is deterministic. The parent's own chain map (used when the
+// model is consulted directly, as by AsyncNetwork) is not touched.
 func (g *gilbert) Rehome(owner func(int) int) bool {
 	if len(g.shards) == 0 {
 		return true
@@ -505,21 +502,3 @@ func RemapFaults(fm FaultModel, ids []int) FaultModel {
 	}
 	return remapFaults{fm: fm, ids: ids}
 }
-
-// dropAdapter lifts a legacy DropFunc to a FaultModel.
-type dropAdapter struct {
-	f DropFunc
-}
-
-func (d dropAdapter) Copies(round, from, to, seq int, m Message) int {
-	if d.f(round, from, to, m) {
-		return 0
-	}
-	return 1
-}
-
-// FromDrop adapts a DropFunc closure to the FaultModel interface. The
-// resulting model is opaque to the sharded kernel — a closure may carry
-// arbitrary state — so it does not implement FaultSharder and runs using
-// it fall back to the sequential kernel under WithShards.
-func FromDrop(f DropFunc) FaultModel { return dropAdapter{f: f} }

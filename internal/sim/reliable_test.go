@@ -177,9 +177,7 @@ func TestReliableGiveUpAfterMaxRetries(t *testing.T) {
 	g := pathGraph(3)
 	net := NewNetwork(g, func(id int) Protocol { return &gossiper{k: 3} },
 		WithReliability(ReliableConfig{Timeout: 2, MaxRetries: 2}),
-		WithDrop(func(round, from, to int, m Message) bool {
-			return from == 1 && to == 2 // permanent one-way break
-		}))
+		WithFaults(cutLink{from: 1, to: 2})) // permanent one-way break
 	_, err := net.Run(60)
 	var qe *QuiescenceError
 	if !errors.As(err, &qe) {

@@ -1,10 +1,15 @@
 package sim
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"geospanner/internal/geom"
@@ -111,8 +116,8 @@ func (p *echoProto) Done() bool { return !p.started || p.replies >= 2 }
 
 // runEcho executes the echo protocol on a grid with the given options and
 // returns everything observable: counters, round trace, per-node delivery
-// histories, and the full protocol-level event stream (wall times zeroed,
-// executor shard events stripped).
+// histories, and the full protocol-level event stream as OmitWall JSONL
+// (executor shard events stripped).
 type echoRun struct {
 	rounds    int
 	err       string
@@ -120,24 +125,35 @@ type echoRun struct {
 	byType    map[string]int
 	trace     []RoundStats
 	histories [][]int
-	events    []obs.Event
+	events    []byte
 	shards    int
 }
 
 func runEcho(t *testing.T, k int, opts ...Option) echoRun {
 	t.Helper()
-	ring := obs.NewRing(1 << 20)
+	var buf bytes.Buffer
+	sink := obs.NewJSONL(&buf)
+	sink.OmitWall = true
+	protocolOnly := obs.Func(func(e obs.Event) {
+		if !obs.ExecutorKind(e.Kind) {
+			sink.Emit(e)
+		}
+	})
 	g := gridGraph(k)
-	opts = append(opts, WithTracer(ring), WithStage("echo"))
+	opts = append(opts, WithTracer(protocolOnly), WithStage("echo"))
 	net := NewNetwork(g, func(id int) Protocol {
 		return &echoProto{id: id, started: id%7 == 0}
 	}, opts...)
 	rounds, err := net.Run(200)
+	if ferr := sink.Flush(); ferr != nil {
+		t.Fatal(ferr)
+	}
 	out := echoRun{
 		rounds: rounds,
 		sent:   net.SentAll(),
 		byType: net.SentByType(),
 		trace:  net.Trace(),
+		events: buf.Bytes(),
 		shards: net.ShardsUsed(),
 	}
 	if err != nil {
@@ -146,77 +162,94 @@ func runEcho(t *testing.T, k int, opts ...Option) echoRun {
 	for id := 0; id < g.N(); id++ {
 		out.histories = append(out.histories, net.Protocol(id).(*echoProto).history)
 	}
-	for _, e := range ring.Events() {
-		if obs.ExecutorKind(e.Kind) {
-			continue
-		}
-		e.WallNS = 0
-		out.events = append(out.events, e)
-	}
 	return out
 }
 
-func diffRuns(t *testing.T, label string, want, got echoRun) {
-	t.Helper()
-	if want.rounds != got.rounds || want.err != got.err {
-		t.Fatalf("%s: rounds/err = (%d, %q), want (%d, %q)", label, got.rounds, got.err, want.rounds, want.err)
+// golden renders a run in the frozen-reference format of
+// testdata/sequential: small observables verbatim, the delivery histories
+// and the event stream as SHA-256 digests.
+func (r echoRun) golden() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "rounds %d\nerr %q\nsent %v\nbytype %v\ntrace", r.rounds, r.err, r.sent, r.byType)
+	for _, s := range r.trace {
+		fmt.Fprintf(&b, " %d:%d:%d", s.Round, s.Delivered, s.Sent)
 	}
-	if !reflect.DeepEqual(want.sent, got.sent) {
-		t.Fatalf("%s: per-node sent counters diverge", label)
+	var h strings.Builder
+	for id, hist := range r.histories {
+		fmt.Fprintf(&h, "%d %v\n", id, hist)
 	}
-	if !reflect.DeepEqual(want.byType, got.byType) {
-		t.Fatalf("%s: per-type counters = %v, want %v", label, got.byType, want.byType)
-	}
-	if !reflect.DeepEqual(want.trace, got.trace) {
-		t.Fatalf("%s: round trace diverges", label)
-	}
-	if !reflect.DeepEqual(want.histories, got.histories) {
-		t.Fatalf("%s: delivery histories diverge", label)
-	}
-	if len(want.events) != len(got.events) {
-		t.Fatalf("%s: %d events, want %d", label, len(got.events), len(want.events))
-	}
-	for i := range want.events {
-		if want.events[i] != got.events[i] {
-			t.Fatalf("%s: event %d = %+v, want %+v", label, i, got.events[i], want.events[i])
-		}
-	}
+	fmt.Fprintf(&b, "\nhistories sha256:%x\nevents %d sha256:%x\n",
+		sha256.Sum256([]byte(h.String())), bytes.Count(r.events, []byte("\n")), sha256.Sum256(r.events))
+	return b.String()
 }
 
-// TestShardEquivalence pins the tentpole contract: the sharded kernel is
-// bit-identical to the sequential one — same counters, same round trace,
-// same per-receiver delivery order, same protocol event stream — for any
-// shard count and any phase parallelism, with and without faults, the
-// Reliable shim, and forced occupancy-driven re-partitioning.
-func TestShardEquivalence(t *testing.T) {
-	// Options are factories: Gilbert (and any stateful model) must be
-	// constructed fresh per run, or earlier runs' chain state leaks into
-	// later ones.
-	cases := []struct {
-		name string
-		opts func() []Option
-	}{
-		{"plain", func() []Option { return nil }},
-		{"bernoulli", func() []Option { return []Option{WithFaults(Bernoulli(42, 0.2))} }},
-		{"gilbert", func() []Option { return []Option{WithFaults(Gilbert(7, 0.3, 0.5, 0.9))} }},
-		{"compose", func() []Option { return []Option{WithFaults(Compose(Bernoulli(1, 0.1), Duplicate(2, 0.2)))} }},
-		{"crash", func() []Option { return []Option{WithFaults(CrashAt(map[int]int{3: 4, 11: 2}))} }},
-		{"reliable+bernoulli", func() []Option {
-			return []Option{WithReliability(ReliableConfig{}), WithFaults(Bernoulli(9, 0.25))}
-		}},
-		{"reliable+gilbert", func() []Option {
-			return []Option{WithReliability(ReliableConfig{}), WithFaults(Gilbert(5, 0.2, 0.6, 0.8))}
-		}},
+// sequentialGolden reads a frozen reference output of the retired
+// sequential delivery loop. These files were recorded once from that
+// kernel and are never regenerated: they are the data the one remaining
+// kernel is held to.
+func sequentialGolden(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "sequential", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return string(b)
+}
+
+// matchGolden fails with the first divergent line when got != want.
+func matchGolden(t *testing.T, label, want, got string) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(wl) && i < len(gl); i++ {
+		if wl[i] != gl[i] {
+			t.Fatalf("%s: diverges at line %d\ngot:  %s\nwant: %s", label, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: %d lines, want %d", label, len(gl), len(wl))
+}
+
+// equivalenceCases are the fault/reliability configurations of
+// TestShardEquivalence. Options are factories: Gilbert (and any stateful
+// model) must be constructed fresh per run, or earlier runs' chain state
+// leaks into later ones.
+var equivalenceCases = []struct {
+	name string
+	opts func() []Option
+}{
+	{"plain", func() []Option { return nil }},
+	{"bernoulli", func() []Option { return []Option{WithFaults(Bernoulli(42, 0.2))} }},
+	{"gilbert", func() []Option { return []Option{WithFaults(Gilbert(7, 0.3, 0.5, 0.9))} }},
+	{"compose", func() []Option { return []Option{WithFaults(Compose(Bernoulli(1, 0.1), Duplicate(2, 0.2)))} }},
+	{"crash", func() []Option { return []Option{WithFaults(CrashAt(map[int]int{3: 4, 11: 2}))} }},
+	{"reliable+bernoulli", func() []Option {
+		return []Option{WithReliability(ReliableConfig{}), WithFaults(Bernoulli(9, 0.25))}
+	}},
+	{"reliable+gilbert", func() []Option {
+		return []Option{WithReliability(ReliableConfig{}), WithFaults(Gilbert(5, 0.2, 0.6, 0.8))}
+	}},
+}
+
+// TestShardEquivalence pins the kernel's determinism contract against
+// data: every (shards, parallelism, re-partitioning) cell, and the
+// default configuration, must reproduce byte for byte what the retired
+// sequential delivery loop recorded in testdata/sequential — counters,
+// round trace, per-receiver delivery order, protocol event stream — with
+// and without faults and the Reliable shim.
+func TestShardEquivalence(t *testing.T) {
 	// Explicit worker counts, not just NumCPU: on a single-core runner the
 	// default would collapse to 1 and never exercise the pool.
 	pars := []int{1, 2, runtime.NumCPU()}
-	for _, tc := range cases {
+	for _, tc := range equivalenceCases {
 		t.Run(tc.name, func(t *testing.T) {
-			seq := runEcho(t, 6, tc.opts()...)
-			if seq.shards != 0 {
-				t.Fatalf("sequential run reported %d shards", seq.shards)
+			want := sequentialGolden(t, "echo_"+tc.name)
+			def := runEcho(t, 6, tc.opts()...)
+			if def.shards != 1 {
+				t.Fatalf("default run reported %d shards, want 1", def.shards)
 			}
+			matchGolden(t, "default", want, def.golden())
 			for _, p := range []int{1, 2, 4, 8} {
 				for _, k := range pars {
 					opts := append(tc.opts(), WithShards(p), WithParallelism(k))
@@ -224,13 +257,13 @@ func TestShardEquivalence(t *testing.T) {
 					if got.shards != p {
 						t.Fatalf("p=%d/par=%d: ShardsUsed = %d", p, k, got.shards)
 					}
-					diffRuns(t, fmt.Sprintf("p=%d/par=%d", p, k), seq, got)
+					matchGolden(t, fmt.Sprintf("p=%d/par=%d", p, k), want, got.golden())
 				}
 				// Re-partition every other round, in parallel: boundaries
 				// move mid-flight (staged copies cross old→new ranges) and
 				// per-link fault state migrates — still bit-identical.
 				opts := append(tc.opts(), WithShards(p), WithParallelism(2), WithRepartition(2))
-				diffRuns(t, fmt.Sprintf("p=%d/repart=2", p), seq, runEcho(t, 6, opts...))
+				matchGolden(t, fmt.Sprintf("p=%d/repart=2", p), want, runEcho(t, 6, opts...).golden())
 			}
 		})
 	}
@@ -240,7 +273,7 @@ func TestShardEquivalence(t *testing.T) {
 // deliberately skewed load (only the top quarter of the ID space chatters)
 // must move the uniform boundaries toward the hot range, emit one
 // obs.KindRepartition event per shard covering the whole ID space, and
-// still finish bit-identical to the sequential kernel.
+// still finish bit-identical to the one-shard run.
 func TestShardRepartitionMoves(t *testing.T) {
 	const n, shards = 64, 4
 	mk := func(opts ...Option) (*Network, *obs.Ring) {
@@ -251,16 +284,16 @@ func TestShardRepartitionMoves(t *testing.T) {
 		}, append(opts, WithTracer(ring))...)
 		return net, ring
 	}
-	seqNet, seqRing := mk()
-	if _, err := seqNet.Run(0); err != nil {
+	one, _ := mk()
+	if _, err := one.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	net, ring := mk(WithShards(shards), WithParallelism(2), WithRepartition(4))
 	if _, err := net.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seqNet.SentAll(), net.SentAll()) {
-		t.Fatal("skewed repartitioned run diverges from sequential counters")
+	if !reflect.DeepEqual(one.SentAll(), net.SentAll()) {
+		t.Fatal("skewed repartitioned run diverges from the one-shard counters")
 	}
 	var reparts []obs.Event
 	for _, e := range ring.Events() {
@@ -302,38 +335,42 @@ func TestShardRepartitionMoves(t *testing.T) {
 		t.Fatalf("hottest shard still owns %d nodes after rebalance (uniform is %d)",
 			last[shards-1].N, n/shards)
 	}
-	_ = seqRing
 }
 
 // TestShardClampsToNodeCount: more shards than nodes degrades to one node
 // per shard, still bit-identical.
 func TestShardClampsToNodeCount(t *testing.T) {
-	seq := runEcho(t, 2)
+	one := runEcho(t, 2)
 	got := runEcho(t, 2, WithShards(64))
 	if got.shards != 4 {
 		t.Fatalf("ShardsUsed = %d, want clamp to 4 nodes", got.shards)
 	}
-	diffRuns(t, "clamped", seq, got)
+	matchGolden(t, "clamped", one.golden(), got.golden())
 }
 
-// TestShardFallbackDropFunc: a raw DropFunc closure cannot be split into
-// per-shard instances, so the run silently uses the sequential kernel —
-// and still produces the right answer.
-func TestShardFallbackDropFunc(t *testing.T) {
-	g := pathGraph(3)
-	net := NewNetwork(g, func(id int) Protocol {
-		return &flooder{id: id, started: id == 0}
-	}, WithShards(4), WithDrop(func(round, from, to int, m Message) bool {
-		return from == 1 && to == 2
-	}))
-	if _, err := net.Run(0); err != nil {
-		t.Fatal(err)
+// TestShardUnshardableModelOneShard: a fault model without ShardFaults
+// cannot be split into per-shard instances, so a multi-shard request runs
+// on one shard consulting the model itself — with output identical to
+// the default run.
+func TestShardUnshardableModelOneShard(t *testing.T) {
+	run := func(opts ...Option) *Network {
+		net := NewNetwork(pathGraph(3), func(id int) Protocol {
+			return &flooder{id: id, started: id == 0}
+		}, append(opts, WithFaults(cutLink{from: 1, to: 2}))...)
+		if _, err := net.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		return net
 	}
-	if net.ShardsUsed() != 0 {
-		t.Fatalf("ShardsUsed = %d, want sequential fallback", net.ShardsUsed())
+	want, got := run(), run(WithShards(4))
+	if got.ShardsUsed() != 1 {
+		t.Fatalf("ShardsUsed = %d, want 1", got.ShardsUsed())
 	}
-	if net.Protocol(2).(*flooder).heard {
+	if got.Protocol(2).(*flooder).heard {
 		t.Fatal("node 2 heard the flood through a dropped link")
+	}
+	if !reflect.DeepEqual(got.SentAll(), want.SentAll()) || !reflect.DeepEqual(got.Trace(), want.Trace()) {
+		t.Fatal("one-shard fallback diverges from the default run")
 	}
 }
 
@@ -375,8 +412,8 @@ func TestShardMetricsEmitted(t *testing.T) {
 	}
 }
 
-// TestShardQuiescenceError: the sharded kernel surfaces the same
-// diagnostic QuiescenceError as the sequential one.
+// TestShardQuiescenceError: a multi-shard run surfaces the same
+// diagnostic QuiescenceError on any shard count.
 func TestShardQuiescenceError(t *testing.T) {
 	g := pathGraph(4)
 	net := NewNetwork(g, func(id int) Protocol { return chatter{} }, WithShards(2))
@@ -407,9 +444,9 @@ func TestShardFaultModels(t *testing.T) {
 		}
 	}
 	unshardable := []FaultModel{
-		FromDrop(func(round, from, to int, m Message) bool { return false }),
-		Compose(Bernoulli(1, 0.1), FromDrop(func(round, from, to int, m Message) bool { return false })),
-		RemapFaults(FromDrop(func(round, from, to int, m Message) bool { return false }), []int{0}),
+		cutLink{from: 0, to: 1},
+		Compose(Bernoulli(1, 0.1), cutLink{from: 0, to: 1}),
+		RemapFaults(cutLink{from: 0, to: 1}, []int{0}),
 	}
 	for i, fm := range unshardable {
 		if _, ok := shardFaultModels(fm, 3); ok {

@@ -18,7 +18,9 @@
 //     reports Done.
 //
 // Determinism: given the same graph and protocols, every run produces the
-// same message trace, so experiments are reproducible bit-for-bit.
+// same message trace, so experiments are reproducible bit-for-bit. The
+// rounds execute on one or more shards (WithShards, default one; see
+// shard.go), and the trace is identical for every shard count.
 package sim
 
 import (
@@ -151,18 +153,13 @@ type Protocol interface {
 	Done() bool
 }
 
-// DropFunc decides whether the link transmission from -> to of message m is
-// lost. A nil DropFunc drops nothing. Loss is per-receiver: one broadcast
-// can reach some neighbors and not others, as with real radios.
-type DropFunc func(round, from, to int, m Message) bool
-
 // Context is the interface a protocol uses to interact with the network.
 // When send is non-nil, Broadcast is redirected to it instead of the radio
-// outbox — the hook the Reliable shim uses to capture an inner protocol's
-// sends and carry them as payloads inside its own envelopes. When sh is
-// non-nil the node is executing under the sharded kernel (see shard.go)
-// and everything observable — broadcasts, trace events — is buffered in
-// the owning shard and merged deterministically at the phase barrier.
+// — the hook the Reliable shim uses to capture an inner protocol's sends
+// and carry them as payloads inside its own envelopes. sh is the shard
+// owning the node (see shard.go): everything observable — broadcasts,
+// trace events — is buffered there and merged deterministically at the
+// phase barrier.
 type Context struct {
 	net  *Network
 	id   int
@@ -170,8 +167,8 @@ type Context struct {
 	sh   *shardState
 }
 
-// shard returns the node's current owning shard (nil on the sequential
-// kernel). The canonical Contexts in net.ctxs carry the live assignment;
+// shard returns the node's current owning shard. The canonical Contexts
+// in net.ctxs carry the live assignment;
 // copies a protocol cached (the Reliable shim's inner context) must not
 // trust their embedded sh — re-partitioning can move the node to another
 // shard after the copy was made, and buffering into the old shard would
@@ -205,19 +202,7 @@ func (c *Context) Broadcast(m Message) {
 		c.send(m)
 		return
 	}
-	if sh := c.shard(); sh != nil {
-		sh.broadcast(c, m)
-		return
-	}
-	n := c.net
-	n.sent[c.id]++
-	n.byType[m.Type()]++
-	n.outbox = append(n.outbox, envelope{from: c.id, seq: n.seq, msg: m})
-	n.seq++
-	if n.tracer != nil {
-		n.tracer.Emit(obs.Event{Kind: obs.KindSend, Stage: n.stage, Round: n.rounds,
-			Type: m.Type(), From: c.id, To: obs.NoNode, Bytes: obs.SizeOf(m)})
-	}
+	c.shard().broadcast(c, m)
 }
 
 // EmitState records a protocol state transition (the node reaching the
@@ -233,18 +218,15 @@ func (c *Context) EmitState(state string) {
 }
 
 // emit forwards an event to the network's tracer; sim-internal callers
-// (the Reliable shim) use it for their own event kinds. Under the sharded
-// kernel the event is buffered in the node's shard and replayed into the
-// tracer at the next merge, preserving the sequential emit order.
+// (the Reliable shim) use it for their own event kinds. The event is
+// buffered in the node's shard and replayed into the tracer at the next
+// merge, in node-ID order.
 func (c *Context) emit(e obs.Event) {
 	if c.net == nil || c.net.tracer == nil {
 		return
 	}
-	if sh := c.shard(); sh != nil {
-		sh.events = append(sh.events, e)
-		return
-	}
-	c.net.tracer.Emit(e)
+	sh := c.shard()
+	sh.events = append(sh.events, e)
 }
 
 // tracing reports whether event construction is worth the work.
@@ -272,7 +254,6 @@ type Network struct {
 	faults   FaultModel
 	reliable bool
 	relCfg   ReliableConfig
-	outbox   []envelope // messages sent this round, delivered next round
 	sent     []int
 	byType   map[string]int
 	rounds   int
@@ -281,10 +262,10 @@ type Network struct {
 	tracer   obs.Tracer
 	stage    string
 	ctx      context.Context
-	shards   int // requested shard count; 0 = classic sequential kernel
-	shardsOn int // shards actually used by the last Run (0 = sequential)
-	par      int // requested worker parallelism; 0 = GOMAXPROCS
-	parOn    int // workers the last sharded Run used (0 = sequential)
+	shards   int // requested shard count; <= 0 means one
+	shardsOn int // shards actually used by the last Run
+	par      int // requested worker parallelism; <= 0 means GOMAXPROCS
+	parOn    int // workers the last Run used
 	// repartEvery is the occupancy-driven re-partitioning period in
 	// rounds: 0 selects the default, negative disables re-partitioning.
 	repartEvery int
@@ -292,12 +273,6 @@ type Network struct {
 
 // Option configures a Network.
 type Option func(*Network)
-
-// WithDrop installs a message-loss function for failure-injection tests.
-// It is the legacy form of WithFaults(FromDrop(f)).
-func WithDrop(f DropFunc) Option {
-	return func(n *Network) { n.faults = FromDrop(f) }
-}
 
 // WithFaults installs a fault model deciding the fate of every link-level
 // delivery (loss, bursts, crashes, duplication). A nil model delivers
@@ -335,18 +310,16 @@ func WithContext(ctx context.Context) Option {
 	return func(n *Network) { n.ctx = ctx }
 }
 
-// WithShards runs the network on the sharded kernel with p shards: nodes
-// are statically partitioned into p contiguous ID ranges, each round's
-// deliveries and Ticks run concurrently across the shards, and shard-local
-// outboxes, counters, and trace events are merged deterministically at the
-// phase barriers. Results — the computed protocol state, message counters,
-// round counts, and the protocol-level trace event stream — are
-// bit-identical to the sequential kernel for any p (see DESIGN.md §12).
-// p is clamped to the node count; p <= 0 (the default) keeps the classic
-// sequential loop. Fault models built from raw DropFunc closures
-// (WithDrop) cannot be split into independent per-shard instances; such
-// runs silently fall back to the sequential kernel (ShardsUsed reports
-// what actually ran).
+// WithShards runs the network on p shards: nodes are partitioned into p
+// contiguous ID ranges, each round's deliveries and Ticks run
+// concurrently across the shards, and shard-local staging, counters, and
+// trace events are merged deterministically at the phase barriers.
+// Results — the computed protocol state, message counters, round counts,
+// and the protocol-level trace event stream — are bit-identical for any p
+// (see DESIGN.md §12). p is clamped to the node count; p <= 0 (the
+// default) means one shard. A fault model that cannot be split into
+// independent per-shard instances (it does not implement FaultSharder)
+// runs on one shard; ShardsUsed reports what actually ran.
 func WithShards(p int) Option {
 	return func(n *Network) { n.shards = p }
 }
@@ -358,7 +331,7 @@ func WithShards(p int) Option {
 // Parallelism is pure mechanism — results, traces, and seq numbers are
 // bit-identical for every k, because nothing observable leaves a shard
 // until the deterministic merge barrier (see DESIGN.md §13). It has no
-// effect without WithShards.
+// effect on a one-shard run.
 func WithParallelism(k int) Option {
 	return func(n *Network) { n.par = k }
 }
@@ -420,6 +393,10 @@ func NewNetwork(g *graph.Graph, newProc func(id int) Protocol, opts ...Option) *
 // Run executes the protocol until quiescence or until maxRounds rounds have
 // elapsed (0 means a default of 10·n + 50 rounds). It returns the number of
 // rounds executed.
+//
+// Each round runs the deliver and tick phases across the shards on the
+// worker pool, each phase followed by its deterministic merge (see
+// shard.go).
 func (n *Network) Run(maxRounds int) (int, error) {
 	if maxRounds <= 0 {
 		maxRounds = 10*n.g.N() + 50
@@ -429,70 +406,59 @@ func (n *Network) Run(maxRounds int) (int, error) {
 		n.tracer.Emit(obs.Event{Kind: obs.KindStageStart, Stage: n.stage,
 			From: obs.NoNode, To: obs.NoNode, N: n.g.N()})
 	}
-	if ex := n.newShardExec(); ex != nil {
-		n.shardsOn = len(ex.shards)
-		return n.runSharded(ex, maxRounds, start)
+	ex := n.newShardExec()
+	n.shardsOn = len(ex.shards)
+	par := n.par
+	if par <= 0 {
+		par = defaultParallelism()
 	}
-	n.shardsOn, n.parOn = 0, 0
+	par = min(par, len(ex.shards))
+	n.parOn = par
+	if par > 1 {
+		ex.pool = newPhasePool(ex.shards, par)
+		defer ex.pool.close()
+	}
+	finish := func(err error) (int, error) {
+		ex.emitShardMetrics()
+		return n.rounds, n.finishTrace(start, err)
+	}
+	// Init runs sequentially in node-ID order; its broadcasts land in the
+	// shard staging buffers (the Contexts are already wired). It is merged
+	// as a round-0 tick batch: no deliver phase ran, so the deliver counts
+	// of the fresh executor are zero and every Init broadcast numbers from
+	// the tick bases — node-ID order again.
 	for i := range n.procs {
 		n.procs[i].Init(&n.ctxs[i])
 	}
+	ex.tickMerge()
 	for round := 1; round <= maxRounds; round++ {
 		if n.ctx != nil && n.ctx.Err() != nil {
-			return n.rounds, n.finishTrace(start, &CanceledError{Rounds: n.rounds, Cause: n.ctx.Err()})
+			return finish(&CanceledError{Rounds: n.rounds, Cause: n.ctx.Err()})
 		}
 		n.rounds = round
-		inbox := n.outbox
-		n.outbox = nil
 
-		// Deliver: receivers in ID order; at each receiver, messages in
-		// (sender, seq) order — inbox is already seq-ordered and seq is
-		// globally increasing, so a stable pass per receiver suffices.
-		// The fault model decides per-receiver how many copies arrive.
-		delivered := 0
-		for id := 0; id < n.g.N(); id++ {
-			for _, env := range inbox {
-				if !n.g.HasEdge(env.from, id) {
-					continue
-				}
-				copies := 1
-				if n.faults != nil {
-					copies = n.faults.Copies(round, env.from, id, env.seq, env.msg)
-				}
-				if n.tracer != nil {
-					kind, cnt := obs.KindDeliver, copies
-					if copies == 0 {
-						kind, cnt = obs.KindDrop, 0
-					}
-					n.tracer.Emit(obs.Event{Kind: kind, Stage: n.stage, Round: round,
-						Type: env.msg.Type(), From: env.from, To: id, N: cnt})
-				}
-				for c := 0; c < copies; c++ {
-					n.procs[id].Handle(&n.ctxs[id], env.from, env.msg)
-					delivered++
-				}
-			}
-		}
-		for id := 0; id < n.g.N(); id++ {
-			n.procs[id].Tick(&n.ctxs[id], round)
-		}
-		n.trace = append(n.trace, RoundStats{Round: round, Delivered: delivered, Sent: len(n.outbox)})
+		ex.each(func(sh *shardState) { sh.deliver(round) })
+		delivered := ex.deliverMerge()
+		ex.each(func(sh *shardState) { sh.tick(round) })
+		sent := ex.tickMerge()
+
+		n.trace = append(n.trace, RoundStats{Round: round, Delivered: delivered, Sent: sent})
 		if n.tracer != nil {
 			n.tracer.Emit(obs.Event{Kind: obs.KindRound, Stage: n.stage, Round: round,
-				From: obs.NoNode, To: obs.NoNode, Sent: len(n.outbox), Delivered: delivered})
+				From: obs.NoNode, To: obs.NoNode, Sent: sent, Delivered: delivered})
 		}
 
 		// Termination. In reliable mode Done subsumes delivery: a Reliable
 		// node reports Done only once its payloads are acknowledged and
-		// consumed everywhere, so leftover shim bookkeeping in the outbox
-		// does not keep the run alive. In plain mode quiescence is the
-		// classic global condition: nothing in flight and everyone Done.
+		// consumed everywhere, so leftover shim bookkeeping in flight does
+		// not keep the run alive. In plain mode quiescence is the classic
+		// global condition: nothing in flight and everyone Done.
 		if n.reliable {
 			if n.allDone() {
-				return round, n.finishTrace(start, nil)
+				return finish(nil)
 			}
-		} else if len(n.outbox) == 0 && n.allDone() {
-			return round, n.finishTrace(start, nil)
+		} else if sent == 0 && n.allDone() {
+			return finish(nil)
 		}
 
 		// A long not-yet-quiescent stretch is the interesting part of a
@@ -506,10 +472,18 @@ func (n *Network) Run(maxRounds int) (int, error) {
 				}
 			}
 			n.tracer.Emit(obs.Event{Kind: obs.KindQuiesceWait, Stage: n.stage, Round: round,
-				From: obs.NoNode, To: obs.NoNode, N: notDone, Sent: len(n.outbox)})
+				From: obs.NoNode, To: obs.NoNode, N: notDone, Sent: sent})
 		}
+
+		ex.maybeRepartition(round)
 	}
-	return n.rounds, n.finishTrace(start, n.quiescenceError())
+	// ex.inFlight still holds the final round's broadcasts by type: the
+	// undelivered traffic.
+	inFlight := make(map[string]int, len(ex.inFlight))
+	for t, c := range ex.inFlight {
+		inFlight[t] = c
+	}
+	return finish(n.stuckError(inFlight))
 }
 
 // quiesceSnapshotEvery is the period, in rounds, of KindQuiesceWait
@@ -538,18 +512,6 @@ func (n *Network) finishTrace(start time.Time, err error) error {
 		From: obs.NoNode, To: obs.NoNode, N: n.TotalSent(),
 		WallNS: time.Since(start).Nanoseconds(), Note: note})
 	return err
-}
-
-// quiescenceError assembles the sequential kernel's diagnostic for a run
-// that exhausted its round budget, reading the in-flight traffic off the
-// outbox; the sharded kernel computes the same tally from its merged
-// per-round counters and calls stuckError directly.
-func (n *Network) quiescenceError() error {
-	inFlight := make(map[string]int)
-	for _, env := range n.outbox {
-		inFlight[env.msg.Type()]++
-	}
-	return n.stuckError(inFlight)
 }
 
 // stuckError builds the QuiescenceError: the nodes that were not Done
@@ -596,15 +558,13 @@ func (n *Network) Protocol(id int) Protocol {
 func (n *Network) Rounds() int { return n.rounds }
 
 // ShardsUsed returns the number of shards the last Run actually executed
-// on: 0 for the classic sequential kernel (the default, or the fallback
-// when the fault model cannot be sharded), otherwise the clamped
-// WithShards value.
+// on: the WithShards value clamped to [1, node count], or 1 when the fault
+// model cannot be sharded. It is 0 only before the first Run.
 func (n *Network) ShardsUsed() int { return n.shardsOn }
 
 // ParallelismUsed returns the number of phase workers the last Run
-// actually executed with: 0 for the sequential kernel, otherwise the
-// resolved WithParallelism value (defaulted to GOMAXPROCS, clamped to the
-// shard count).
+// actually executed with: the resolved WithParallelism value (defaulted to
+// GOMAXPROCS, clamped to the shard count).
 func (n *Network) ParallelismUsed() int { return n.parOn }
 
 // ReliableNodeStats returns each node's ack/retransmission shim counters

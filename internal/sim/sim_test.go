@@ -105,14 +105,24 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestDropFunc(t *testing.T) {
+// cutLink is a one-way link cut: every transmission from `from` to `to`
+// is lost. It does not implement FaultSharder, so runs using it execute
+// on one shard.
+type cutLink struct{ from, to int }
+
+func (c cutLink) Copies(round, from, to, seq int, m Message) int {
+	if from == c.from && to == c.to {
+		return 0
+	}
+	return 1
+}
+
+func TestLinkCutFault(t *testing.T) {
 	g := pathGraph(3)
 	// Drop everything node 1 sends to node 2: the flood from 0 stops at 1.
 	net := NewNetwork(g, func(id int) Protocol {
 		return &flooder{id: id, started: id == 0}
-	}, WithDrop(func(round, from, to int, m Message) bool {
-		return from == 1 && to == 2
-	}))
+	}, WithFaults(cutLink{from: 1, to: 2}))
 	if _, err := net.Run(0); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package udg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,21 +23,33 @@ func TestBuildSmall(t *testing.T) {
 
 func TestBuildMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
+	same := func(label string, pts []geom.Point, radius float64) {
+		t.Helper()
+		fast := Build(pts, radius)
+		slow := BuildBruteForce(pts, radius)
+		if fast.NumEdges() != slow.NumEdges() {
+			t.Fatalf("%s: fast %d edges, brute %d", label, fast.NumEdges(), slow.NumEdges())
+		}
+		for _, e := range slow.Edges() {
+			if !fast.HasEdge(e.U, e.V) {
+				t.Fatalf("%s: grid index missed edge %v", label, e)
+			}
+		}
+	}
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + r.Intn(120)
 		region := 10 + r.Float64()*200
 		radius := region * (0.05 + r.Float64()*0.4)
-		pts := RandomPoints(r, n, region)
-		fast := Build(pts, radius)
-		slow := BuildBruteForce(pts, radius)
-		if fast.NumEdges() != slow.NumEdges() {
-			t.Fatalf("trial %d: fast %d edges, brute %d", trial, fast.NumEdges(), slow.NumEdges())
+		same(fmt.Sprintf("uniform trial %d", trial), RandomPoints(r, n, region), radius)
+	}
+	// Clustered placement: dense hot spots put many points in few grid
+	// cells.
+	for trial := 0; trial < 5; trial++ {
+		pts, err := GeneratePoints(r, Clustered, 200, 200)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, e := range slow.Edges() {
-			if !fast.HasEdge(e.U, e.V) {
-				t.Fatalf("trial %d: grid index missed edge %v", trial, e)
-			}
-		}
+		same(fmt.Sprintf("clustered trial %d", trial), pts, 30)
 	}
 }
 
@@ -132,36 +145,5 @@ func TestBoundaryDistanceExact(t *testing.T) {
 	beyond := []geom.Point{geom.Pt(0, 0), geom.Pt(math.Nextafter(60, 61), 0)}
 	if Build(beyond, 60).HasEdge(0, 1) {
 		t.Fatal("one-ulp-beyond pair must not be linked")
-	}
-}
-
-func TestBuildQuadtreeMatchesGrid(t *testing.T) {
-	r := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + r.Intn(150)
-		pts := RandomPoints(r, n, 200)
-		radius := 20 + r.Float64()*80
-		a := Build(pts, radius)
-		b := BuildQuadtree(pts, radius)
-		if a.NumEdges() != b.NumEdges() {
-			t.Fatalf("trial %d: grid %d edges, quadtree %d", trial, a.NumEdges(), b.NumEdges())
-		}
-		for _, e := range a.Edges() {
-			if !b.HasEdge(e.U, e.V) {
-				t.Fatalf("trial %d: quadtree missed edge %v", trial, e)
-			}
-		}
-	}
-	// Clustered placement, where the quadtree is designed to shine.
-	for trial := 0; trial < 5; trial++ {
-		pts, err := GeneratePoints(r, Clustered, 200, 200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := Build(pts, 30)
-		b := BuildQuadtree(pts, 30)
-		if a.NumEdges() != b.NumEdges() {
-			t.Fatalf("clustered trial %d: edge counts differ", trial)
-		}
 	}
 }
